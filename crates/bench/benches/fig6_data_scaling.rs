@@ -7,10 +7,8 @@
 //! per-node writers and stripes big I/O), with ArckFS ahead of OdinFS
 //! thanks to kernel bypass; ext4(RAID0) scales 2 MiB reads but not 4 KiB.
 
-use std::sync::Arc;
-
-use trio_bench::{eight_node_threads, one_node_threads, print_row, print_thread_header, scale, World};
-use trio_workloads::fio::{Fio, FioOp};
+use trio_bench::{eight_node_threads, fig6_cell, one_node_threads, print_row, print_thread_header, scale};
+use trio_workloads::fio::FioOp;
 
 fn panel(title: &str, fs_list: &[&str], nodes: usize, block: usize, op: FioOp, threads: &[usize]) {
     print_thread_header(title, threads);
@@ -21,18 +19,10 @@ fn panel(title: &str, fs_list: &[&str], nodes: usize, block: usize, op: FioOp, t
         let mut vals = Vec::new();
         let mut top_stats = None;
         for &t in threads {
-            // Budget: keep per-thread footprint bounded at high counts.
-            let file_bytes =
-                (((1u64 << 30) / scale() as u64).min(8 << 20)).max(4 * block as u64);
-            let ops = if block >= 1 << 20 { 8 } else { 192 };
-            let pages_per_node =
-                (max_threads * 2 * file_bytes as usize / 4096 / nodes).max(16 * 1024);
-            let world = World::build(fs, nodes, pages_per_node);
-            let stats = world.path_stats();
-            let wl = Arc::new(Fio { op, block, file_bytes, ops_per_thread: ops });
-            vals.push(world.measure(wl, t, 42).gib_per_sec());
+            let (m, stats) = fig6_cell(fs, nodes, block, op, t, max_threads);
+            vals.push(m.gib_per_sec());
             if t == max_threads {
-                top_stats = stats.map(|s| s.snapshot());
+                top_stats = stats;
             }
         }
         print_row(fs, &vals, "GiB/s");

@@ -15,7 +15,8 @@ use std::sync::Arc;
 use arckfs::{ArckFs, ArckFsConfig, FpFs, KvFs};
 use trio_fsapi::FileSystem;
 use trio_kernel::{KernelConfig, KernelController};
-use trio_nvm::{BandwidthModel, DeviceConfig, NvmDevice, Topology};
+use trio_nvm::{BandwidthModel, DeviceConfig, NvmDevice, PathStatsSnapshot, Topology};
+use trio_workloads::fio::{Fio, FioOp};
 use trio_workloads::{drive, Measurement, Workload};
 
 /// File systems a figure can put on its x-axis.
@@ -443,6 +444,29 @@ pub fn run_sharing_nova(write_file_bytes: Option<u64>, dir_files: usize, ops_per
         phases: trio_kernel::PhaseStats::default(),
         rebuild_ns: 0,
     }
+}
+
+/// One Figure 6 cell: `fs` over `nodes` nodes running fio `op` in
+/// `block`-byte calls at `threads`, with files and device sized for a
+/// panel whose top rung is `max_threads`. Returns the measurement and,
+/// for Trio-based file systems, the data-path counters after it.
+pub fn fig6_cell(
+    fs: &str,
+    nodes: usize,
+    block: usize,
+    op: FioOp,
+    threads: usize,
+    max_threads: usize,
+) -> (Measurement, Option<PathStatsSnapshot>) {
+    // Budget: keep per-thread footprint bounded at high counts.
+    let file_bytes = (((1u64 << 30) / scale() as u64).min(8 << 20)).max(4 * block as u64);
+    let ops = if block >= 1 << 20 { 8 } else { 192 };
+    let pages_per_node = (max_threads * 2 * file_bytes as usize / 4096 / nodes).max(16 * 1024);
+    let world = World::build(fs, nodes, pages_per_node);
+    let stats = world.path_stats();
+    let wl = Arc::new(Fio { op, block, file_bytes, ops_per_thread: ops });
+    let m = world.measure(wl, threads, 42);
+    (m, stats.map(|s| s.snapshot()))
 }
 
 /// Pretty-prints one figure row: `label` then `value` per column.

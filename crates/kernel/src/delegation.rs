@@ -19,12 +19,14 @@
 //! of the granted region during its one write pass into NVM — zero copies
 //! on the submit path, and that same pass folds each byte into a streaming
 //! checksum recorded in the page sidecars. Large single-node runs addition-
-//! ally *fan out* across the node's worker slots in page-aligned chunks of
-//! at least [`FANOUT_MIN_BYTES`], so one big op engages enough threads to
-//! reach the node's concurrency sweet spot instead of crawling through a
-//! single worker at `k = 1` efficiency. Completions come back tagged on a
-//! per-op reply ring drawn from a pool, so steady-state ops allocate no
-//! channels.
+//! ally *fan out* in page-aligned chunks of at least [`FANOUT_MIN_BYTES`],
+//! but only as wide as the node's idle workers at submit time: on an idle
+//! node one big op engages enough threads to reach the node's concurrency
+//! sweet spot instead of crawling through a single worker at `k = 1`
+//! efficiency, while a saturated node gets one request per op, so ring
+//! hops stay bounded by the worker pool rather than multiplying with the
+//! client count. Completions come back tagged on a per-op reply ring
+//! drawn from a pool, so steady-state ops allocate no channels.
 //!
 //! Permission is enforced end-to-end: a delegation thread performs the
 //! access *as the requesting actor*, so the MMU check still applies.
@@ -299,8 +301,10 @@ impl DelegationFaults {
 /// Client-side bookkeeping for one batch of an in-flight op.
 struct Batch {
     node: usize,
-    /// Fan-out slot within the node: chunks of one op are spread over
-    /// distinct slots so distinct workers serve them concurrently.
+    /// Fan-out slot within the node: only the key that groups an op's
+    /// chunks into requests. Rings are picked by [`DelegationPool::ring_for`]'s
+    /// per-node round-robin, shared by all clients, so distinct slots do
+    /// not guarantee distinct workers.
     slot: usize,
     req: DelegReq,
     /// Read scatter list: `(offset into the caller's buffer, len)` per run,
@@ -989,13 +993,24 @@ impl DelegationPool {
         (node, from_page..to_page, byte_from..byte_to)
     }
 
+    /// Workers on `node` with nothing queued on their ring. A worker still
+    /// serving its last request counts: a chunk queued behind it waits
+    /// for that one request only. `SimChannel::len` is a host lock, so
+    /// sampling charges no virtual time.
+    fn idle_workers(&self, node: usize) -> usize {
+        self.rings[node].iter().filter(|ring| ring.is_empty()).count()
+    }
+
     /// Groups the extent's runs into tagged batches, one per `(node,
-    /// fan-out slot)`. Each node-contiguous run bigger than
-    /// [`FANOUT_MIN_BYTES`] is additionally split into page-aligned chunks
-    /// spread round-robin over the node's worker slots, so a single large
-    /// op is served by several delegation threads concurrently — that is
-    /// what lifts the node to the concurrency level its bandwidth model
-    /// rewards. Small runs stay whole: one chunk, one hop.
+    /// fan-out slot)`. Each node fans out only as wide as its idle workers
+    /// at submit time (at least 1): a node-contiguous run bigger than
+    /// [`FANOUT_MIN_BYTES`] is split into up to that many page-aligned
+    /// chunks, dealt round-robin over that many slots. An idle node thus
+    /// serves one large op with several delegation threads — the
+    /// concurrency its bandwidth model rewards — while a saturated node
+    /// gets one request per op carrying all of its runs, so ring hops do
+    /// not multiply with the client count. Small runs stay whole: one
+    /// chunk, one hop.
     #[allow(clippy::too_many_arguments)]
     fn build_batches(
         &self,
@@ -1009,9 +1024,11 @@ impl DelegationPool {
     ) -> Vec<Batch> {
         let mut batches: Vec<Batch> = Vec::new();
         let mut next_slot: Vec<usize> = vec![0; self.rings.len()];
+        // Per-node fan-out width, sampled once per op on first touch.
+        let mut width: Vec<Option<usize>> = vec![None; self.rings.len()];
         for (node, prange, brange) in self.split_runs(pages, start, len) {
-            let threads = self.rings[node].len();
-            let chunks = (brange.len() / FANOUT_MIN_BYTES).clamp(1, threads);
+            let width = *width[node].get_or_insert_with(|| self.idle_workers(node).max(1));
+            let chunks = (brange.len() / FANOUT_MIN_BYTES).clamp(1, width);
             let run_pages = prange.len();
             let mut from_page = prange.start;
             for ci in 0..chunks {
@@ -1032,7 +1049,7 @@ impl DelegationPool {
                 };
                 let scatter = (byte_from - start, byte_to - byte_from);
                 let slot = next_slot[node];
-                next_slot[node] = (slot + 1) % threads.max(1);
+                next_slot[node] = (slot + 1) % width;
                 from_page = to_page;
                 match batches.iter_mut().find(|b| b.node == node && b.slot == slot) {
                     Some(b) => {
@@ -1091,7 +1108,7 @@ impl DelegationPool {
 
     /// Core submit-and-collect loop shared by every entry point.
     ///
-    /// Dispatches one batch per touched node, then waits for tagged
+    /// Dispatches every batch of the op, then waits for tagged
     /// completions. With a [`RetryPolicy`], each attempt waits one policy
     /// window — recomputed from the *remaining* (not yet completed)
     /// bytes, so retries of a partially-completed scatter-gather op get
@@ -1285,8 +1302,8 @@ impl DelegationPool {
     /// Zero-copy delegated write of an extent: the payload is named by a
     /// [`GrantRef`] window (see [`Self::grants`]) and read by the workers
     /// straight from the granted buffer — no bytes move on the submit
-    /// path. Batches are dispatched in parallel (fanned out across each
-    /// node's workers for large runs), waiting (unbounded) for all
+    /// path. Batches are dispatched in parallel (large runs fanned out
+    /// across each node's idle workers), waiting (unbounded) for all
     /// completions. `gref.len` is the op's payload length.
     pub fn write_extent_granted(
         &self,

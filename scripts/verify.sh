@@ -222,7 +222,40 @@ EOF
 else
     echo "NOTE: no committed BENCH_datapath.json baseline; skipping comparison."
 fi
-rm -f /tmp/trio_datapath.$$
+# Determinism gate: virtual time is exact at a fixed seed, so a second
+# run must reproduce the whole JSON byte for byte, secondary counters
+# included. A diff means host state (e.g. hash iteration order) leaked
+# into a simulated decision.
+TRIO_BENCH_OUT=/tmp/trio_datapath2.$$ TRIO_SCALE=16 \
+    cargo bench -p trio-bench --bench bench_datapath > /dev/null
+if ! diff /tmp/trio_datapath.$$ /tmp/trio_datapath2.$$ >&2; then
+    rm -f /tmp/trio_datapath.$$ /tmp/trio_datapath2.$$
+    echo "FAIL: bench_datapath is not deterministic at its fixed seed." >&2
+    exit 1
+fi
+echo "OK: bench_datapath JSON identical across two runs."
+rm -f /tmp/trio_datapath.$$ /tmp/trio_datapath2.$$
+
+echo
+echo "== fig6(h) shape gate: 2 MiB write, 8 nodes, 224 threads =="
+# The paper's delegation shape (DESIGN.md §17, idle-width fan-out): with
+# every node's writer pool bounded, ArckFS at least matches OdinFS, its
+# rings never backpressure, and no write is shed to direct access.
+TRIO_BENCH_OUT=/tmp/trio_fig6h.$$ TRIO_SCALE=16 \
+    cargo bench -p trio-bench --bench fig6h_gate
+python3 - /tmp/trio_fig6h.$$ <<'EOF'
+import json, sys
+r = json.load(open(sys.argv[1]))
+arck, odin = float(r["arckfs_gib_s"]), float(r["odinfs_gib_s"])
+if arck < odin:
+    sys.exit(f"FAIL: fig6(h) ArckFS {arck:.2f} GiB/s < OdinFS {odin:.2f} GiB/s")
+print(f"OK: fig6(h) ArckFS {arck:.2f} GiB/s >= OdinFS {odin:.2f} GiB/s.")
+for key in ["ring_backpressure", "direct_write_bytes"]:
+    if int(r[key]) != 0:
+        sys.exit(f"FAIL: fig6(h) ArckFS {key} = {r[key]}; rings overflowed into direct writes")
+print("OK: fig6(h) ArckFS ring_backpressure == 0 and direct_write_bytes == 0.")
+EOF
+rm -f /tmp/trio_fig6h.$$
 
 echo
 echo "== mega-tenant gate: 128 concurrent LibFS instances, lock-free control plane =="
