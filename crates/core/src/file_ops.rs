@@ -235,8 +235,7 @@ impl ArckFs {
         self.rw_extent_write(node, &pages, in_page, src)
     }
 
-    /// Whether this access should go through delegation. Static policy:
-    /// the paper's fixed size thresholds. Adaptive policy: huge accesses
+    /// Whether this access should go through delegation. Huge accesses
     /// always delegate (multi-node aggregation plus bounded per-node
     /// concurrency both pay off), tiny ones never do (the ring round trip
     /// dominates), and mid-sized accesses delegate only when a target
@@ -261,46 +260,34 @@ impl ArckFs {
         if !pool.admit_delegated() || node.delegation_demoted(pool.recovery_epoch(), now()) {
             return false;
         }
-        match self.cfg.delegation_policy {
-            crate::libfs::DelegationPolicy::Static => {
-                let min = if is_write {
-                    self.cfg.delegation_write_min
-                } else {
-                    self.cfg.delegation_read_min
-                };
-                len >= min
+        let delegate = 'decide: {
+            if len >= self.cfg.adaptive_delegate_bytes {
+                break 'decide true;
             }
-            crate::libfs::DelegationPolicy::Adaptive => {
-                let delegate = 'decide: {
-                    if len >= self.cfg.adaptive_delegate_bytes {
-                        break 'decide true;
-                    }
-                    if len < self.cfg.adaptive_floor_bytes {
-                        break 'decide false;
-                    }
-                    let dev = self.kernel.device();
-                    let topo = dev.topology();
-                    let home = trio_nvm::handle::home_node();
-                    let knee = if is_write { self.write_knee } else { self.read_knee };
-                    let mut remote = false;
-                    let mut last_node = usize::MAX;
-                    for p in pages {
-                        let n = topo.node_of(*p);
-                        if n == last_node {
-                            continue;
-                        }
-                        last_node = n;
-                        if dev.node_load_level(n, is_write) >= knee {
-                            break 'decide true;
-                        }
-                        remote |= n != home;
-                    }
-                    remote
-                };
-                self.stats.record_adaptive(delegate);
-                delegate
+            if len < self.cfg.adaptive_floor_bytes {
+                break 'decide false;
             }
-        }
+            let dev = self.kernel.device();
+            let topo = dev.topology();
+            let home = trio_nvm::handle::home_node();
+            let knee = if is_write { self.write_knee } else { self.read_knee };
+            let mut remote = false;
+            let mut last_node = usize::MAX;
+            for p in pages {
+                let n = topo.node_of(*p);
+                if n == last_node {
+                    continue;
+                }
+                last_node = n;
+                if dev.node_load_level(n, is_write) >= knee {
+                    break 'decide true;
+                }
+                remote |= n != home;
+            }
+            remote
+        };
+        self.stats.record_adaptive(delegate);
+        delegate
     }
 
     /// The unified delegation retry policy (DESIGN.md §16): base budget

@@ -261,13 +261,6 @@ impl Journal {
         Ok(JournalGuard { h: h.clone(), primary, mirror, _slot: guard })
     }
 
-    /// Legacy single-copy scan: every page is treated as an unmirrored
-    /// shard. Returns the number of armed renames undone.
-    pub fn recover(h: &NvmHandle, pages: &[PageId]) -> Result<usize, ProtError> {
-        let pairs: Vec<(PageId, Option<PageId>)> = pages.iter().map(|&p| (p, None)).collect();
-        Ok(Self::recover_pairs(h, &pairs)?.undone)
-    }
-
     /// Scans the journal page pairs of a crashed LibFS and undoes any
     /// armed rename: restores the src dirent pre-image and clears the dst
     /// dirent. Falls back to the mirror when the primary is poisoned or
@@ -444,8 +437,9 @@ mod tests {
         let g = j.begin_rename(&h, 0, src, dst, &image, paired_alloc()).unwrap();
         g.disarm().unwrap();
         assert_eq!(Journal::recover_pairs(&h, &j.page_pairs()).unwrap().undone, 0);
-        // Flat legacy scan over both twins agrees.
-        assert_eq!(Journal::recover(&h, &j.pages()).unwrap(), 0);
+        // A flat scan treating each twin as unmirrored agrees.
+        let flat: Vec<_> = j.pages().into_iter().map(|p| (p, None)).collect();
+        assert_eq!(Journal::recover_pairs(&h, &flat).unwrap().undone, 0);
     }
 
     #[test]
@@ -461,7 +455,6 @@ mod tests {
         assert_eq!(j.page_pairs(), vec![(PageId(10), None)]);
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn poisoned_primary_recovers_from_mirror_and_repairs() {
         let h = setup();

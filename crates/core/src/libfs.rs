@@ -24,39 +24,25 @@ use crate::journal::Journal;
 use crate::node::{DirAux, DirEntryAux, FileNode, MapState, NodeInner};
 use crate::pool::{InoPool, PagePool};
 
-/// How data operations choose between direct access and delegation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DelegationPolicy {
-    /// Fixed size thresholds (`delegation_read_min` / `delegation_write_min`)
-    /// — the paper's original policy, kept as the A/B baseline.
-    Static,
-    /// Load-aware routing: huge accesses always delegate (multi-node
-    /// aggregation), tiny ones never do (ring round-trip dominates), and
-    /// mid-sized accesses delegate only when the target node's observed
-    /// concurrency has reached the bandwidth-collapse knee or the access
-    /// would cross sockets.
-    Adaptive,
-}
-
 /// ArckFS tunables (paper §4.5 defaults).
 #[derive(Clone, Debug)]
 pub struct ArckFsConfig {
-    /// Use the kernel delegation pool for large accesses.
+    /// Use the kernel delegation pool for large accesses. Routing is
+    /// load-aware: huge accesses always delegate (multi-node aggregation),
+    /// tiny ones never do (ring round-trip dominates), and mid-sized
+    /// accesses delegate only when the target node's observed concurrency
+    /// has reached the bandwidth-collapse knee or the access would cross
+    /// sockets.
     pub delegation: bool,
-    /// How eligible accesses are routed; see [`DelegationPolicy`].
-    pub delegation_policy: DelegationPolicy,
     /// Stripe file data pages across NUMA nodes.
     pub stripe: bool,
     /// Pages per stripe unit (16 × 4 KiB = 64 KiB).
     pub stripe_pages: usize,
-    /// Static policy: reads below this go direct (paper: 32 KiB).
-    pub delegation_read_min: usize,
-    /// Static policy: writes below this go direct (paper: 256 B).
-    pub delegation_write_min: usize,
-    /// Adaptive policy: accesses at/above this size always delegate.
+    /// Accesses at/above this size always delegate.
     pub adaptive_delegate_bytes: usize,
-    /// Adaptive policy: accesses below this size never delegate; in
-    /// between, node load and remoteness decide.
+    /// Accesses below this size never delegate (unless they reach
+    /// `adaptive_delegate_bytes`); in between, node load and remoteness
+    /// decide.
     pub adaptive_floor_bytes: usize,
     /// Page-pool refill batch.
     pub page_batch: usize,
@@ -86,11 +72,8 @@ impl Default for ArckFsConfig {
     fn default() -> Self {
         ArckFsConfig {
             delegation: true,
-            delegation_policy: DelegationPolicy::Adaptive,
             stripe: true,
             stripe_pages: 16,
-            delegation_read_min: 32 * 1024,
-            delegation_write_min: 256,
             adaptive_delegate_bytes: 64 * 1024,
             adaptive_floor_bytes: 4096,
             page_batch: 64,
@@ -110,12 +93,6 @@ impl ArckFsConfig {
     /// striping (single-node placement).
     pub fn no_delegation() -> Self {
         ArckFsConfig { delegation: false, stripe: false, ..Default::default() }
-    }
-
-    /// The pre-adaptive configuration: fixed size thresholds (the A/B
-    /// reference for the adaptive policy).
-    pub fn static_thresholds() -> Self {
-        ArckFsConfig { delegation_policy: DelegationPolicy::Static, ..Default::default() }
     }
 }
 
@@ -201,7 +178,7 @@ impl ArckFs {
 
     /// Pages backing this LibFS's rename undo journal. A recovery agent
     /// scans these (with a privileged handle) after the LibFS dies — see
-    /// [`crate::journal::Journal::recover`]. In a full system the kernel
+    /// [`crate::journal::Journal::recover_pairs`]. In a full system the kernel
     /// would record them at allocation time; here the harness carries them
     /// across the crash.
     pub fn journal_pages(&self) -> Vec<PageId> {

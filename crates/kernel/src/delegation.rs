@@ -48,15 +48,12 @@
 //! re-promotes traffic.
 
 use std::collections::{HashSet, VecDeque};
-#[cfg(feature = "faults")]
-use std::sync::atomic::AtomicU8;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-#[cfg(feature = "faults")]
-use trio_nvm::WorkerKillPlan;
 use trio_nvm::{
-    ActorId, NvmDevice, NvmHandle, PageId, PathStats, ProtError, WorkerKillPoint, PAGE_SIZE,
+    ActorId, NvmDevice, NvmHandle, PageId, PathStats, ProtError, WorkerKillPlan, WorkerKillPoint,
+    PAGE_SIZE,
 };
 use trio_sim::plock::Mutex as PlMutex;
 use trio_sim::sync::{RecvDeadline, SimChannel};
@@ -110,7 +107,6 @@ const RECOVER_AFTER_SUCCESSES: u64 = 8;
 const PROBE_EVERY: u64 = 16;
 
 /// "No worker-kill plan armed" sentinel.
-#[cfg(feature = "faults")]
 const KILL_UNSET: u64 = u64::MAX;
 
 /// Worker-side admission check for one ring request. Everything here is
@@ -242,7 +238,6 @@ impl std::fmt::Display for DelegationError {
 /// Draws come from each delegation thread's own deterministic RNG
 /// ([`trio_sim::rng`]), so a given `(seed, settings)` pair replays the same
 /// stalls, drops, and kills. The rate fields are "one in N"; zero disables.
-#[cfg(feature = "faults")]
 pub struct DelegationFaults {
     /// Stall one in N served requests by `stall_ns` of virtual time.
     stall_one_in: AtomicU64,
@@ -262,7 +257,6 @@ pub struct DelegationFaults {
     kill_one_in: AtomicU64,
 }
 
-#[cfg(feature = "faults")]
 impl Default for DelegationFaults {
     fn default() -> Self {
         DelegationFaults {
@@ -278,7 +272,6 @@ impl Default for DelegationFaults {
     }
 }
 
-#[cfg(feature = "faults")]
 impl DelegationFaults {
     /// Per-request kill decision, made right after the ring pop. The
     /// armed one-shot plan disarms itself when it fires so the respawned
@@ -440,7 +433,6 @@ pub struct DelegationPool {
     events: PlMutex<Vec<KernelEvent>>,
     /// Death-to-restart latencies observed by the watchdog, in virtual ns.
     recovery_ns: PlMutex<Vec<Nanos>>,
-    #[cfg(feature = "faults")]
     faults: Arc<DelegationFaults>,
 }
 
@@ -491,7 +483,6 @@ impl DelegationPool {
             health,
             events: PlMutex::new(Vec::new()),
             recovery_ns: PlMutex::new(Vec::new()),
-            #[cfg(feature = "faults")]
             faults: Arc::new(DelegationFaults::default()),
         }
     }
@@ -509,7 +500,6 @@ impl DelegationPool {
     /// Arms delegation-thread fault injection: stall one in
     /// `stall_one_in` requests by `stall_ns`, drop one in `drop_one_in`
     /// requests without replying. Zero rates disable the respective fault.
-    #[cfg(feature = "faults")]
     pub fn inject_faults(&self, stall_one_in: u64, stall_ns: Nanos, drop_one_in: u64) {
         self.faults.stall_one_in.store(stall_one_in, Ordering::Relaxed);
         self.faults.stall_ns.store(stall_ns, Ordering::Relaxed);
@@ -520,7 +510,6 @@ impl DelegationPool {
     /// `plan.at_request`-th request (0-based, global pop order) dies at
     /// `plan.point`. The plan disarms when it fires, so the re-dispatch
     /// and any client retry are served by healthy workers.
-    #[cfg(feature = "faults")]
     pub fn arm_worker_kill(&self, plan: WorkerKillPlan) {
         self.faults.kill_point.store(plan.point as u8, Ordering::Relaxed);
         self.faults.kill_at_request.store(plan.at_request, Ordering::Relaxed);
@@ -528,14 +517,12 @@ impl DelegationPool {
 
     /// Random worker-kill mode: one in `one_in` served requests kills the
     /// serving worker at an RNG-drawn kill point. Zero disables.
-    #[cfg(feature = "faults")]
     pub fn inject_worker_kills(&self, one_in: u64) {
         self.faults.kill_one_in.store(one_in, Ordering::Relaxed);
     }
 
     /// Requests popped so far across all workers (the replay coordinate
     /// of [`Self::arm_worker_kill`]).
-    #[cfg(feature = "faults")]
     pub fn requests_served(&self) -> u64 {
         self.faults.served.load(Ordering::Relaxed)
     }
@@ -558,7 +545,6 @@ impl DelegationPool {
         let stats = Arc::clone(&self.stats);
         let idem = Arc::clone(&self.idem);
         let grants = Arc::clone(&self.grants);
-        #[cfg(feature = "faults")]
         let faults = Arc::clone(&self.faults);
         spawn("delegation", move || {
             trio_nvm::handle::set_home_node(ws.node);
@@ -566,32 +552,25 @@ impl DelegationPool {
                 // Heartbeat + in-flight parking: what the watchdog reads.
                 ws.epoch.fetch_add(1, Ordering::Relaxed);
                 *ws.inflight.lock() = Some(req.clone());
-                #[cfg(feature = "faults")]
                 let kill = faults.draw_kill();
-                #[cfg(not(feature = "faults"))]
-                let kill: Option<WorkerKillPoint> = None;
                 if kill == Some(WorkerKillPoint::AfterPop) {
                     // Dies with nothing applied: the orphan re-dispatch
                     // must run the request from scratch.
                     ws.die();
                     return;
                 }
-                #[cfg(feature = "faults")]
-                {
-                    let n = faults.stall_one_in.load(Ordering::Relaxed);
-                    if n != 0 && trio_sim::rng::with_rng(|r| r.one_in(n)) {
-                        trio_sim::work(faults.stall_ns.load(Ordering::Relaxed));
-                    }
-                    let n = faults.drop_one_in.load(Ordering::Relaxed);
-                    if n != 0 && trio_sim::rng::with_rng(|r| r.one_in(n)) {
-                        // A wedged thread: the request vanishes and no
-                        // reply is ever sent. Clients must use the
-                        // deadline-bounded entry points to survive this.
-                        // Not an orphan — the thread lives on — so the
-                        // in-flight slot is cleared.
-                        *ws.inflight.lock() = None;
-                        continue;
-                    }
+                let n = faults.stall_one_in.load(Ordering::Relaxed);
+                if n != 0 && trio_sim::rng::with_rng(|r| r.one_in(n)) {
+                    trio_sim::work(faults.stall_ns.load(Ordering::Relaxed));
+                }
+                let n = faults.drop_one_in.load(Ordering::Relaxed);
+                if n != 0 && trio_sim::rng::with_rng(|r| r.one_in(n)) {
+                    // A wedged thread: the request vanishes and no reply is
+                    // ever sent. Clients must use the deadline-bounded entry
+                    // points to survive this. Not an orphan — the thread
+                    // lives on — so the in-flight slot is cleared.
+                    *ws.inflight.lock() = None;
+                    continue;
                 }
                 if let Err(e) = validate_req(&req) {
                     stats.record_deleg_rejected();

@@ -297,7 +297,6 @@ mod tests {
         assert!(SuperblockRef::new(&uh).set_root_size(9).is_err());
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn poisoned_primary_falls_back_to_replica_and_scrub_repairs() {
         let dev = Arc::new(NvmDevice::new(DeviceConfig::small()));
@@ -316,7 +315,6 @@ mod tests {
         assert_eq!(sb.scrub().unwrap(), SbHealth::Clean);
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn rotted_replica_detected_and_resealed() {
         let dev = Arc::new(NvmDevice::new(DeviceConfig::small()));
@@ -324,11 +322,11 @@ mod tests {
         let sb = SuperblockRef::new(&h);
         sb.format(4096, 7).unwrap();
         let rep = sb.replica_page();
-        dev.corrupt_for_test(rep, 24).unwrap(); // silent bit rot in root_size
+        dev.rot_byte(rep, 24); // silent bit rot in root_size
         assert_eq!(sb.scrub().unwrap(), SbHealth::RepairedReplica);
         assert_eq!(sb.scrub().unwrap(), SbHealth::Clean);
         // A writer that finds a rotted replica heals it on the next seal.
-        dev.corrupt_for_test(rep, 24).unwrap();
+        dev.rot_byte(rep, 24);
         sb.set_root_size(9).unwrap();
         assert_eq!(sb.scrub().unwrap(), SbHealth::Clean);
         assert_eq!(sb.root_size().unwrap(), 9);

@@ -27,16 +27,14 @@
 //! only queues the write-back — so a crash between flush and fence loses
 //! the line, exactly as on real hardware.)
 //!
-//! The hooks are compiled in only under the `faults` cargo feature; release
-//! benchmarks build without it and [`faults_compiled`] reports `false`.
+//! The hooks are compiled into every build and stay disarmed until a test
+//! arms them: crash plans live on the persistence tracker, which exists
+//! only with `DeviceConfig::track_persistence`; an unpoisoned device checks
+//! one relaxed counter per access; and the delegation faults draw from the
+//! RNG only when their rate is nonzero. A disarmed run is therefore
+//! bit-identical in virtual time to one without the hooks.
 
 use crate::topology::PageId;
-
-/// Whether fault-injection hooks are compiled into this build. The bench
-/// crate asserts this is `false` so measured numbers are injection-free.
-pub const fn faults_compiled() -> bool {
-    cfg!(feature = "faults")
-}
 
 /// Declarative crash plan: freeze durability at persistence point `crash_at`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Full verification gate: tier-1 tests, the exhaustive crash-point sweep
-# at the pinned seed, and the standalone no-faults bench build that
-# proves the injection hooks compile to no-ops outside the `faults`
-# feature. Run from anywhere inside the repo.
+# Full verification gate: tier-1 tests, lints over every target, the
+# exhaustive crash-point sweep at the pinned seed, the seeded fault
+# campaigns, and the bench gates (the standalone data-path bench must
+# reproduce the committed BENCH_datapath.json key by key, which proves the
+# always-compiled fault hooks cost nothing disarmed). Run from anywhere
+# inside the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -11,8 +13,9 @@ cargo build --release
 cargo test -q
 
 echo
-echo "== lint gate: cargo clippy --workspace -- -D warnings =="
-cargo clippy --workspace -- -D warnings
+echo "== lint gate: cargo clippy --workspace --all-targets -- -D warnings =="
+# --all-targets lints test, bench and example code too.
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo
 echo "== lint gate: cargo xtask lint =="
@@ -116,19 +119,6 @@ print(
 )
 EOF
 
-echo
-echo "== zero-overhead gate: standalone trio-bench (no 'faults' feature) =="
-# Built with -p, feature unification does not apply: trio-bench must
-# compile and report faults_compiled() == false.
-cargo bench -p trio-bench --bench micro_components 2>&1 | tee /tmp/trio_micro.$$ | sed -n '1,3p'
-if grep -q "faults_compiled() == false" /tmp/trio_micro.$$; then
-    rm -f /tmp/trio_micro.$$
-    echo "OK: injection hooks are no-ops in the standalone bench build."
-else
-    rm -f /tmp/trio_micro.$$
-    echo "FAIL: standalone bench build has the 'faults' feature enabled." >&2
-    exit 1
-fi
 
 echo
 echo "== obs gate: obs-on bench auto-dumps a valid flight-recorder timeline =="
@@ -156,10 +146,10 @@ print(f"OK: obs timeline valid ({len(events)} events, {len(stages)} stages).")
 EOF
 
 echo
-echo "== perf smoke gate: data-path bench vs committed baseline =="
+echo "== perf gate: data-path bench identical to the committed baseline =="
 # Regenerate BENCH numbers (virtual time: host noise cannot move them)
-# and fail if delegated-write latency regressed >20% vs the committed
-# BENCH_datapath.json baseline.
+# and require every key to equal the committed BENCH_datapath.json. A
+# change that moves a number must commit the new baseline with it.
 TRIO_BENCH_OUT=/tmp/trio_datapath.$$ TRIO_SCALE=16 \
     cargo bench -p trio-bench --bench bench_datapath
 if [ -f BENCH_datapath.json ]; then
@@ -167,19 +157,15 @@ if [ -f BENCH_datapath.json ]; then
 import json, sys
 new = json.load(open(sys.argv[1]))
 base = json.load(open(sys.argv[2]))
-key = "delegated_write_ns_per_op"
-n, b = float(new[key]), float(base[key])
-if n > b * 1.2:
-    sys.exit(f"FAIL: {key} regressed {n:.0f} ns vs baseline {b:.0f} ns (>20%)")
-print(f"OK: {key} {n:.0f} ns vs baseline {b:.0f} ns (within 20%)")
-# Typestate zero-cost gate (DESIGN.md §18): the persist-pipeline witness
-# tokens are zero-sized and must compile away entirely. The bench runs in
-# virtual time, so the delta vs the pre-typestate baseline is exact —
-# anything beyond float formatting noise means the tokens grew code.
-delta = abs(n - b) / b * 100.0
-if delta > 0.05:
-    sys.exit(f"FAIL: {key} moved {delta:.2f}% vs baseline; typestate tokens are not zero-cost")
-print(f"OK: typestate tokens zero-cost ({key} delta {delta:.2f}%).")
+# Zero-overhead gate: the fault hooks (DESIGN.md §11) and the typestate
+# witness tokens (§18) are compiled into this build. Every key is virtual,
+# so key-by-key identity proves the disarmed hooks charge 0 ns and draw
+# no RNG, and the tokens compile away.
+diff = sorted(k for k in base.keys() | new.keys() if new.get(k) != base.get(k))
+if diff:
+    sys.exit("FAIL: bench_datapath differs from BENCH_datapath.json: " + ", ".join(
+        f"{k} {base.get(k)!r} -> {new.get(k)!r}" for k in diff))
+print(f"OK: all {len(base)} bench_datapath keys identical to BENCH_datapath.json.")
 # Zero-copy gate: grant-window delegation means the submit path never
 # materializes a payload — one worker read from the granted pages is the
 # only traversal. A nonzero copy counter is a reintroduced memcpy.

@@ -73,7 +73,9 @@ fn run_iteration(campaign_seed: u64, iteration: u64) -> IterOutcome {
             ..KernelConfig::default()
         },
     );
-    let evil = ArckFs::mount(Arc::clone(&kernel), 1000, 1000, ArckFsConfig::static_thresholds());
+    // Every access >= 256 B rides the delegation rings.
+    let deleg_all = ArckFsConfig { adaptive_delegate_bytes: 256, ..Default::default() };
+    let evil = ArckFs::mount(Arc::clone(&kernel), 1000, 1000, deleg_all);
     let victim = ArckFs::mount(Arc::clone(&kernel), 1000, 1000, ArckFsConfig::no_delegation());
     let bystander = ArckFs::mount(Arc::clone(&kernel), 1000, 1000, ArckFsConfig::no_delegation());
 

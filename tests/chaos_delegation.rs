@@ -20,8 +20,6 @@
 //! `(CHAOS_SEED, iteration)` alone; `TRIO_CHAOS_ITER` sets the sweep
 //! width (default 500) and the sweep dumps an aggregate report to
 //! `target/chaos-report.json` for the CI gate.
-#![cfg(feature = "faults")]
-
 use std::sync::Arc;
 
 use arckfs::attack::{run_attack, Attack};
@@ -474,10 +472,10 @@ fn quarantine_repairs_and_readmits_under_live_delegated_traffic() {
     let kernel = KernelController::format(Arc::clone(&dev), KernelConfig::default());
     let evil = ArckFs::mount(Arc::clone(&kernel), 1000, 1000, ArckFsConfig::no_delegation());
     let auditor = ArckFs::mount(Arc::clone(&kernel), 1000, 1000, ArckFsConfig::no_delegation());
+    // Every access >= 256 B rides the delegation rings.
+    let deleg_all = ArckFsConfig { adaptive_delegate_bytes: 256, ..Default::default() };
     let writers: Vec<Arc<ArckFs>> = (0..2)
-        .map(|c| {
-            ArckFs::mount(Arc::clone(&kernel), 2000 + c, 2000, ArckFsConfig::static_thresholds())
-        })
+        .map(|c| ArckFs::mount(Arc::clone(&kernel), 2000 + c, 2000, deleg_all.clone()))
         .collect();
 
     let rt = SimRuntime::new(0x0_B5E55ED);

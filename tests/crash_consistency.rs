@@ -185,9 +185,8 @@ fn rename_journal_recovers_the_half_done_move() {
         DirentRef::new(fs2.handle(), src).clear().unwrap();
         std::mem::forget(guard); // Crash before disarm.
         // Recovery undoes the rename from the journal.
-        let undone =
-            arckfs::journal::Journal::recover(fs2.handle(), &[jpage]).unwrap();
-        assert_eq!(undone, 1);
+        let rec = arckfs::journal::Journal::recover_pairs(fs2.handle(), &[(jpage, None)]).unwrap();
+        assert_eq!(rec.undone, 1);
         assert_eq!(DirentRef::new(fs2.handle(), src).ino().unwrap(), src_ino);
         assert_eq!(DirentRef::new(fs2.handle(), dst).ino().unwrap(), 0);
     });
@@ -229,7 +228,6 @@ fn crash_loses_nothing_when_everything_is_flushed() {
 /// Builds a world frozen in the §4.4 rename crash window: journal armed,
 /// destination published, source cleared, disarm never reached. Returns
 /// `(device, src_loc, dst_loc, journal_page, victim_ino)`.
-#[cfg(feature = "faults")]
 fn armed_rename_world(
     seed: u64,
 ) -> (Arc<NvmDevice>, DirentLoc, DirentLoc, trio_nvm::PageId, u64) {
@@ -276,19 +274,18 @@ fn armed_rename_world(
 
 /// Running journal recovery twice is a no-op the second time: same
 /// dirents, same journal page bytes, zero records undone.
-#[cfg(feature = "faults")]
 #[test]
 fn journal_recovery_is_idempotent() {
     use arckfs::journal::Journal;
     let (dev, src, dst, jpage, src_ino) = armed_rename_world(21);
     let kh = trio_nvm::NvmHandle::new(Arc::clone(&dev), trio_nvm::KERNEL_ACTOR);
-    assert_eq!(Journal::recover(&kh, &[jpage]).unwrap(), 1);
+    assert_eq!(Journal::recover_pairs(&kh, &[(jpage, None)]).unwrap().undone, 1);
     assert_eq!(DirentRef::new(&kh, src).ino().unwrap(), src_ino);
     assert_eq!(DirentRef::new(&kh, dst).ino().unwrap(), 0);
     let dirents_after_first = dev.snapshot_page(src.page).unwrap();
     let journal_after_first = dev.snapshot_page(jpage).unwrap();
     // Second run: journal is disarmed; nothing changes.
-    assert_eq!(Journal::recover(&kh, &[jpage]).unwrap(), 0);
+    assert_eq!(Journal::recover_pairs(&kh, &[(jpage, None)]).unwrap().undone, 0);
     assert_eq!(dev.snapshot_page(src.page).unwrap(), dirents_after_first);
     assert_eq!(dev.snapshot_page(jpage).unwrap(), journal_after_first);
 }
@@ -296,7 +293,6 @@ fn journal_recovery_is_idempotent() {
 /// Crashing at *every* persistence point inside journal recovery and then
 /// recovering again always converges to the undone state — recovery is
 /// re-runnable from any prefix of itself.
-#[cfg(feature = "faults")]
 #[test]
 fn crash_mid_journal_recovery_then_recover_again_converges() {
     use arckfs::journal::Journal;
@@ -306,7 +302,7 @@ fn crash_mid_journal_recovery_then_recover_again_converges() {
         let (dev, _, _, jpage, _) = armed_rename_world(22);
         let kh = trio_nvm::NvmHandle::new(Arc::clone(&dev), trio_nvm::KERNEL_ACTOR);
         let p0 = dev.persistence_points();
-        Journal::recover(&kh, &[jpage]).unwrap();
+        Journal::recover_pairs(&kh, &[(jpage, None)]).unwrap();
         dev.persistence_points() - p0
     };
     assert!(span >= 3, "recovery should span several persistence points, got {span}");
@@ -314,9 +310,9 @@ fn crash_mid_journal_recovery_then_recover_again_converges() {
         let (dev, src, dst, jpage, src_ino) = armed_rename_world(22);
         let kh = trio_nvm::NvmHandle::new(Arc::clone(&dev), trio_nvm::KERNEL_ACTOR);
         dev.arm_crash_plan(FaultPlan::crash_at_point(dev.persistence_points() + k));
-        Journal::recover(&kh, &[jpage]).unwrap();
+        Journal::recover_pairs(&kh, &[(jpage, None)]).unwrap();
         let report = dev.crash();
-        let undone = Journal::recover(&kh, &[jpage]).unwrap();
+        let undone = Journal::recover_pairs(&kh, &[(jpage, None)]).unwrap().undone;
         let s = DirentRef::new(&kh, src).ino().unwrap();
         let d = DirentRef::new(&kh, dst).ino().unwrap();
         assert_eq!(

@@ -3,8 +3,6 @@
 //! backoff, then graceful degradation to direct access), and poisoned
 //! cache lines must surface as `FsError`s — never panics — and be
 //! repairable by full-line overwrites.
-#![cfg(feature = "faults")]
-
 use std::sync::Arc;
 
 use arckfs::{ArckFs, ArckFsConfig};

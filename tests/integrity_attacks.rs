@@ -245,13 +245,12 @@ fn unmapped_pages_are_unreachable_to_attackers() {
 /// Silent bit rot under a checksummed delegated extent (DESIGN.md §17).
 ///
 /// Delegation workers record a streaming per-page digest in the page
-/// sidecar atomically with the store; `corrupt_for_test` then flips one
-/// data bit *without* touching the sidecar — the exact failure mode no
+/// sidecar atomically with the store; `rot_byte` then flips one
+/// data byte *without* touching the sidecar — the exact failure mode no
 /// metadata invariant can see. The next verifier walk must catch it as
 /// `data_checksum_mismatch` (Reject class: there is no field-level ground
 /// truth to scrub rotten bytes back from), roll the file back to its
 /// checkpoint, and hand the victim the checkpointed bytes, not the rot.
-#[cfg(feature = "faults")]
 #[test]
 fn silent_bit_rot_under_checksummed_extent_rejects_on_next_walk() {
     use trio_nvm::PageId;
@@ -297,7 +296,7 @@ fn silent_bit_rot_under_checksummed_extent_rejects_on_next_walk() {
             .map(PageId)
             .find(|p| matches!(dev.page_csum(*p), Ok(Some(_))))
             .expect("delegated write must leave sidecar digests");
-        dev.corrupt_for_test(page, 1234).unwrap();
+        assert!(dev.rot_byte(page, 1234), "the rotted page carries a sidecar");
 
         // The victim's next map triggers the walk: detection, reject-class
         // accounting, rollback.

@@ -126,7 +126,7 @@ fn read_write_without_edge_also_aborts() {
 #[test]
 fn arckfs_delegated_data_path_runs_clean() {
     // The real §4.5 shape: client writes go through the delegation rings
-    // (Static policy => every write >= delegation_write_min delegates), so
+    // (`adaptive_delegate_bytes: 256` => every write >= 256 B delegates), so
     // client-actor stores and kernel-side completions interleave on the
     // same file. With every edge clocked, the whole path must be
     // race-free — this is the "cross-LibFS race detector" acceptance run.
@@ -137,7 +137,8 @@ fn arckfs_delegated_data_path_runs_clean() {
     let rd = Arc::new(RaceDetector::new());
     assert!(dev.set_race_detector(rd));
     let kernel = KernelController::format(Arc::clone(&dev), KernelConfig::default());
-    let fs = ArckFs::mount(Arc::clone(&kernel), 1000, 1000, ArckFsConfig::static_thresholds());
+    let cfg = ArckFsConfig { adaptive_delegate_bytes: 256, ..Default::default() };
+    let fs = ArckFs::mount(Arc::clone(&kernel), 1000, 1000, cfg);
 
     let rt = SimRuntime::new(0xD1CE);
     rt.enable_race_detection();
@@ -153,6 +154,7 @@ fn arckfs_delegated_data_path_runs_clean() {
         let mut out = vec![0u8; 4096];
         assert_eq!(fs.pread(fd, 0, &mut out).unwrap(), 4096);
         fs.close(fd).unwrap();
+        assert!(k.path_stats().snapshot().delegated_write_bytes > 0, "4 KiB writes must delegate");
         k.delegation().shutdown();
     });
     rt.run();
@@ -164,7 +166,6 @@ fn arckfs_delegated_data_path_runs_clean() {
 /// and the set move under one lock hold, so no interleaving may let them
 /// drift. Mid-flight probes are sound because the sim scheduler only
 /// preempts at sim operations, never between the two back-to-back reads.
-#[cfg(feature = "faults")]
 #[test]
 fn poison_accounting_is_race_free() {
     use trio_nvm::{CACHE_LINE, PAGE_SIZE};
